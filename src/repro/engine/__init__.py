@@ -1,7 +1,9 @@
-"""Mini-ROLAP execution engine: tables, B+trees, materializer, executor."""
+"""Mini-ROLAP execution engine: tables, sorted indexes, materializer,
+executor (plus the pointer-based B+tree the sorted indexes are tested
+against)."""
 
 from repro.engine.btree import BPlusTree
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, SortedIndex
 from repro.engine.executor import Executor, PlanChoice, QueryResult
 from repro.engine.maintenance import (
     RefreshReport,
@@ -28,6 +30,7 @@ __all__ = [
     "PlanChoice",
     "QueryResult",
     "RefreshReport",
+    "SortedIndex",
     "ViewTable",
     "apply_delta",
     "estimate_refresh_cost",

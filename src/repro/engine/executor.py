@@ -3,9 +3,10 @@
 The executor answers a concrete slice query (attribute values supplied for
 every selection attribute) from the catalog, counting the **rows
 processed** — the paper's cost measure.  A plan is a ``(view, index)``
-pair; with an index whose key has a usable prefix, only the B+tree entries
-matching the prefix values are touched; otherwise the whole view table is
-scanned.
+pair; with an index whose key has a usable prefix, only the index entries
+matching the prefix values are touched (one binary-search range over the
+sorted leaf level, see :class:`~repro.engine.catalog.SortedIndex`);
+otherwise the whole view table is scanned.
 
 This makes the linear cost model falsifiable: the expected number of rows
 an index plan touches is ``|V| / |E|`` where ``|E|`` is the number of
@@ -70,7 +71,9 @@ class Executor:
     def __init__(self, catalog: Catalog, cost_model: Optional[LinearCostModel] = None):
         self.catalog = catalog
         self.cost_model = cost_model
-        self._distinct_cache: Dict[Tuple[View, tuple], int] = {}
+        # keyed on the catalog version too: a maintenance delta replaces
+        # the fact table, so counts taken before it are stale
+        self._distinct_cache: Dict[Tuple[int, View, tuple], int] = {}
 
     # ------------------------------------------------------------ planning
 
@@ -84,7 +87,7 @@ class Executor:
         prefix = index.usable_prefix(query)
         if not prefix:
             return float(table.n_rows)
-        cache_key = (view, prefix)
+        cache_key = (self.catalog.version, view, prefix)
         if cache_key not in self._distinct_cache:
             self._distinct_cache[cache_key] = self.catalog.fact.distinct_count(prefix)
         distinct = self._distinct_cache[cache_key]
@@ -186,10 +189,10 @@ class Executor:
 
         prefix = index.usable_prefix(query) if index is not None else ()
         if index is not None and prefix:
-            tree = self.catalog.index_tree(index)
+            sorted_index = self.catalog.sorted_index(index)
             prefix_key = tuple(int(selection_values[a]) for a in prefix)
             residual = [a for a in residual if a not in prefix]
-            for __, (row, __value) in tree.prefix_scan(prefix_key):
+            for row in sorted_index.prefix_rows(prefix_key).tolist():
                 rows_processed += 1
                 if any(
                     int(table.key_columns[a][row]) != int(selection_values[a])

@@ -7,9 +7,10 @@ refresh for the engine:
 
 * :func:`apply_delta` — append a batch of fact rows and propagate it to
   every materialized view (aggregate the delta, merge into the sorted
-  view table) and every index (rebuilt, since merged tables renumber
-  rows).  Returns a :class:`RefreshReport` of rows touched, so the
-  maintenance cost is measurable in the same unit as query cost.
+  view table) and every index (re-sorted with one ``np.lexsort``, since
+  merged tables renumber rows).  Returns a :class:`RefreshReport` of
+  rows touched, so the maintenance cost is measurable in the same unit
+  as query cost.
 * :func:`estimate_refresh_cost` — the analytical counterpart: the rows a
   refresh of a selection touches, usable as a maintenance-cost model when
   weighing selections (cf. the view-selection-with-maintenance framework
@@ -161,8 +162,7 @@ def apply_delta(
     rebuilt = []
     for index in list(catalog.indexes()):
         catalog.drop_index(index)
-        tree = catalog.build_index(index)
-        report.index_entries_rebuilt += len(tree)
+        report.index_entries_rebuilt += len(catalog.build_index(index))
         rebuilt.append(str(index))
     report.indexes_rebuilt = tuple(rebuilt)
 

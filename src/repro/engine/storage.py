@@ -3,9 +3,9 @@
 A warehouse's materialized views outlive the advisor process.  This
 module writes a :class:`~repro.engine.catalog.Catalog` to a directory —
 the fact table and every view table as ``.npz`` arrays, plus a manifest
-of the built indexes — and loads it back, rebuilding the B+trees from the
+of the built indexes — and loads it back, re-sorting the indexes from the
 stored tables (index *contents* are derivable; only their identity needs
-persisting, which keeps the format trivial and the trees always
+persisting, which keeps the format trivial and the indexes always
 consistent with the tables).
 
 Layout::
@@ -99,7 +99,7 @@ def save_catalog(catalog: Catalog, directory: PathLike) -> None:
 def load_catalog(directory: PathLike) -> Catalog:
     """Reload a catalog saved with :func:`save_catalog`.
 
-    B+trees are rebuilt from the stored view tables, so the loaded
+    Indexes are rebuilt from the stored view tables, so the loaded
     catalog is bit-for-bit equivalent for every query.
     """
     directory = Path(directory)

@@ -5,9 +5,10 @@ The cost formula ``c(Q, V, J) = |C| / |E|`` (Section 4.1.1) predicts the
 values runs through an index.  This experiment makes the prediction
 falsifiable: it generates a small cube, materializes views and fat
 indexes, executes each slice query for many random selection-value
-draws through the B+tree, and compares the measured mean rows-processed
-against the model (with exact sizes taken from the actual data, so the
-only approximation under test is the cost formula itself).
+draws through the indexes (each a static B+tree's sorted leaf level),
+and compares the measured mean rows-processed against the model (with
+exact sizes taken from the actual data, so the only approximation under
+test is the cost formula itself).
 """
 
 from __future__ import annotations

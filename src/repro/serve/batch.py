@@ -208,31 +208,28 @@ def execute_scan(table, entry: LogEntry, info: PlanInfo) -> ExecResult:
 
 
 def execute_prefix(catalog, table, entry: LogEntry, info: PlanInfo) -> ExecResult:
-    """Answer one query through a B+tree prefix scan.
+    """Answer one query through an index prefix range.
 
-    Index scans already touch only the matching entries, so this path
-    keeps the executor's loop verbatim (the batch win here is the
-    memoized routing and in-batch deduplication, not vectorization).
+    The prefix values narrow the index's sorted leaf level to one
+    contiguous ``[lo, hi)`` range (rows processed is ``hi - lo``, the
+    entries a B+tree prefix scan would touch); the rows in that range
+    then go through the same residual mask and grouped sum as
+    :func:`execute_scan`.  They are summed in index order, the order the
+    executor's per-row loop visits them, so answers stay byte-identical.
     """
     query = entry.query
     bound = entry.bound_values
-    tree = catalog.index_tree(info.index)
-    value_column = table.values_for(None)
     groupby = tuple(a for a in table.attrs if a in query.groupby)
     residual = [
         a for a in table.attrs if a in query.selection and a not in info.prefix
     ]
     prefix_key = tuple(int(bound[a]) for a in info.prefix)
-    groups: Dict[tuple, float] = {}
-    rows_processed = 0
-    for __, (row, __value) in tree.prefix_scan(prefix_key):
-        rows_processed += 1
-        if any(
-            int(table.key_columns[a][row]) != int(bound[a]) for a in residual
-        ):
-            continue
-        key = table.row_key(row, groupby)
-        groups[key] = groups.get(key, 0.0) + float(value_column[row])
+    rows = catalog.sorted_index(info.index).prefix_rows(prefix_key)
+    rows_processed = len(rows)
+    for attr in residual:
+        rows = rows[table.key_columns[attr][rows] == bound[attr]]
+    values = table.values_for(None)[rows]
+    groups = _grouped_sums([table.key_columns[a][rows] for a in groupby], values)
     return ExecResult(
         structure=info.structure,
         predicted_rows=info.predicted,

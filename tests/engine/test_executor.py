@@ -13,6 +13,8 @@ from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.maintenance import apply_delta
+from repro.engine.table import FactTable
 from repro.estimation.sizes import exact_sizes_from_rows
 
 
@@ -210,3 +212,36 @@ class TestExplain:
         catalog.materialize(View.of("a"))
         executor = Executor(catalog)
         assert executor.explain(SliceQuery(groupby=("b",))) == []
+
+
+class TestEstimatesAfterDelta:
+    def test_distinct_counts_refreshed_by_delta(self):
+        """Statistics-based estimates follow the fact table a maintenance
+        delta installs: the distinct-prefix count cached before the
+        delta must not price plans after it."""
+        schema = CubeSchema([Dimension("a", 10), Dimension("b", 5)])
+        fact = FactTable(
+            schema,
+            {"a": np.array([0, 0, 1, 1]), "b": np.array([0, 1, 0, 1])},
+            np.ones(4),
+        )
+        catalog = Catalog(fact)
+        view = View.of("a", "b")
+        catalog.materialize(view)
+        index = Index(view, ("a", "b"))
+        catalog.build_index(index)
+        executor = Executor(catalog)
+        query = SliceQuery(groupby=("b",), selection=("a",))
+
+        def index_cost(ex):
+            (choice,) = [c for c in ex.explain(query) if c.index == index]
+            return choice.estimated_cost
+
+        assert index_cost(executor) == 2.0  # 4 rows / 2 distinct a
+        apply_delta(
+            catalog,
+            {"a": np.arange(2, 8), "b": np.zeros(6, dtype=np.int64)},
+            np.ones(6),
+        )
+        assert index_cost(Executor(catalog)) == 1.25  # 10 rows / 8 a
+        assert index_cost(executor) == 1.25

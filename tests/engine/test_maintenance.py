@@ -17,6 +17,7 @@ from repro.engine.maintenance import (
 )
 from repro.engine.materialize import materialize_view
 from repro.engine.table import FactTable
+from tests.engine.test_sorted_index import reference_rows
 
 
 @pytest.fixture
@@ -104,10 +105,14 @@ class TestApplyDelta:
         view = View.of("a", "b")
         table = catalog.view_table(view)
         for index in catalog.indexes_on(view):
-            tree = catalog.index_tree(index)
-            assert len(tree) == table.n_rows
-            for key, (row, value) in tree.items():
-                assert value == pytest.approx(float(table.values[row]))
+            built = catalog.sorted_index(index)
+            assert len(built) == table.n_rows
+            # the rebuild sorts the merged table's rows, not stale ones
+            assert built.perm.tolist() == reference_rows(table, index.key)
+            for attr, column in zip(index.key, built.keys):
+                assert np.array_equal(
+                    column, table.key_columns[attr][built.perm]
+                )
 
     def test_report_accounting(self, schema):
         catalog = make_catalog(schema)

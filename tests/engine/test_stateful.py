@@ -175,7 +175,7 @@ class CatalogMachine(RuleBasedStateMachine):
     def index_entries_match_views(self):
         for index in self.catalog.indexes():
             table = self.catalog.view_table(index.view)
-            assert len(self.catalog.index_tree(index)) == table.n_rows
+            assert len(self.catalog.sorted_index(index)) == table.n_rows
 
 
 TestCatalogStateful = CatalogMachine.TestCase

@@ -65,9 +65,12 @@ class TestRoundTrip:
         loaded = load_catalog(tmp_path)
         assert set(loaded.indexes()) == set(catalog.indexes())
         for index in catalog.indexes():
-            assert list(loaded.index_tree(index).items()) == list(
-                catalog.index_tree(index).items()
-            )
+            before = catalog.sorted_index(index)
+            after = loaded.sorted_index(index)
+            assert np.array_equal(after.perm, before.perm)
+            assert len(after.keys) == len(before.keys) == len(index.key)
+            for restored, original in zip(after.keys, before.keys):
+                assert np.array_equal(restored, original)
 
     def test_query_results_identical(self, catalog, tmp_path):
         save_catalog(catalog, tmp_path)

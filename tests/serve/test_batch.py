@@ -10,6 +10,9 @@ adds: in-batch deduplication and plan memoization.
 import numpy as np
 import pytest
 
+from repro.core.costmodel import LinearCostModel
+from repro.cube.schema import CubeSchema, Dimension
+from repro.engine.table import FactTable
 from repro.core.query import enumerate_slice_queries
 from repro.cube.query_log import LogEntry, generate_query_log
 from repro.serve import DEFAULT_BATCH_SIZE, QueryServer, RAW_LABEL
@@ -47,6 +50,55 @@ class TestByteIdentity:
         self, serve_fact5, serve_schema5, serve_model5
     ):
         self._assert_identical(serve_fact5, serve_schema5, serve_model5)
+
+    def test_prefix_plan_with_residual_and_extra_measures(self, serve_fact4):
+        """Index plans whose prefix leaves a residual selection attribute,
+        on a fact table with a non-default primary measure plus extra
+        measures: the batch range + mask + grouped sum aggregates the
+        primary measure exactly as the executor's per-row loop does."""
+        rng = np.random.default_rng(11)
+        schema = CubeSchema(
+            [Dimension(n, serve_fact4.schema.cardinality(n))
+             for n in serve_fact4.schema.names],
+            measure="revenue",
+        )
+        fact = FactTable(
+            schema,
+            serve_fact4.columns,
+            serve_fact4.measures,
+            extra_measures={
+                "quantity": rng.uniform(0, 50, size=serve_fact4.n_rows)
+            },
+        )
+        model = LinearCostModel.from_fact(fact)
+        server = QueryServer(
+            fact, ["pscd", "I_sp(pscd)", "I_cd(pscd)"], cost_model=model
+        )
+        executor = server.state.executor
+        entries = [
+            e
+            for e in all_pattern_entries(schema, per_pattern=3, rng=5)
+            if len(e.query.selection) >= 2
+        ]
+        outcomes = server.serve_batch(entries)
+        residual_prefix_plans = 0
+        for entry, outcome in zip(entries, outcomes):
+            view, index, __ = executor.plan_with_cost(entry.query)
+            prefix = index.usable_prefix(entry.query) if index else ()
+            if prefix and entry.query.selection - set(prefix):
+                residual_prefix_plans += 1
+            reference = executor.execute(
+                entry.query, entry.bound_values, plan=(view, index)
+            )
+            assert outcome.groups == reference.groups, str(entry.query)
+            assert outcome.actual_rows == reference.rows_processed
+            quantity = executor.execute(
+                entry.query, entry.bound_values, plan=(view, index),
+                measure="quantity",
+            )
+            if reference.groups:
+                assert outcome.groups != quantity.groups
+        assert residual_prefix_plans > 0
 
     def test_raw_fallback_matches_serial(self, serve_fact4, serve_model4):
         """The vectorized raw path reproduces the raw-scan outcome the
