@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import abc
 import math
+from collections import defaultdict
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.selection import SelectionResult, Stage, make_result
+from repro.parallel.sinks import prefix_maxima_offers
 from repro.runtime.checkpoint import CheckpointError, StageRecord
 from repro.runtime.context import SEED_SCOPE, RunContext, RuntimeStop
 
@@ -78,6 +82,44 @@ def check_space(space: float) -> float:
     if space <= 0:
         raise ValueError(f"space budget must be positive, got {space}")
     return space
+
+
+def phase2_index_ids(engine, view_ids) -> np.ndarray:
+    """The unselected indexes of the selected views among ``view_ids``,
+    views in the given order, each view's indexes in engine order — the
+    single-index candidates of a stage, in canonical offer order."""
+    selected = engine.selected_mask
+    families = [
+        engine.index_ids_of(int(view_id))
+        for view_id in view_ids
+        if selected[int(view_id)]
+    ]
+    if not families:
+        return np.empty(0, dtype=np.int64)
+    ids = np.concatenate(families)
+    return ids[~selected[ids]]
+
+
+def phase2_offers(engine, view_ids, benefits: np.ndarray, space_left=None) -> dict:
+    """The single-index offers of a scan over ``view_ids`` that can move
+    its sink, grouped by owning view.
+
+    Candidates are :func:`phase2_index_ids` (those within ``space_left``
+    when it is given), scored by the per-structure ``benefits`` array.
+    Only the strict prefix maxima of the whole stream are kept
+    (:func:`~repro.parallel.sinks.prefix_maxima_offers`): the rest can
+    displace no incumbent, whatever the scan offers in between.  The
+    scan offers ``result[view]``, in order, where it reaches the view.
+    """
+    ids = phase2_index_ids(engine, view_ids)
+    spaces = engine.spaces[ids]
+    if space_left is not None:
+        fit = spaces <= space_left + SPACE_EPS
+        ids, spaces = ids[fit], spaces[fit]
+    by_view = defaultdict(list)
+    for offer in prefix_maxima_offers(ids, benefits[ids], spaces):
+        by_view[int(engine.view_id_of[offer[0][0]])].append(offer)
+    return by_view
 
 
 def apply_seed(engine: BenefitEngine, seed) -> list:

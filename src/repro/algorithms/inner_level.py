@@ -23,6 +23,21 @@ Two inner-growth rules are provided:
 ``"peak"`` (the paper's prose)
     grow the same way but return the prefix of ``IG_i`` at which benefit
     per unit space is maximal.
+
+How a growth step is computed: the view's indexes come as one cached
+:class:`~repro.core.benefit.FamilyBlock` (their CSR rows flattened into
+``local_row, col, val, freq`` arrays), and a step is a single pass over
+its live edges, ``contrib = max(cur_min[col] − val, 0) · freq``, summed
+per index by ``np.bincount(local_row, contrib)`` — the same addends in
+the same order as :func:`~repro.core.benefit.csr_gains`, so each gain
+is bit-identical to it on either cost store and in the pool workers.
+``cur_min`` only falls during a growth, so an edge that contributes
+``+0.0`` keeps doing so and is shed; adding ``+0.0`` never changes the
+sum.  Indexes already in ``IG_i`` get ``-inf`` density, so the argmax
+still breaks ties by family order.  Phase 2 offers only the strict
+prefix maxima of its benefit/space stream
+(:func:`~repro.parallel.sinks.offer_prefix_maxima`): the others can never
+displace the incumbent.
 """
 
 from __future__ import annotations
@@ -43,11 +58,13 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
+    phase2_index_ids,
     resolve_lazy,
 )
-from repro.core.benefit import BenefitEngine
+from repro.core.benefit import BenefitEngine, FamilyGrowth
 from repro.core.selection import SelectionResult
 from repro.parallel import ChainSink, make_evaluator
+from repro.parallel.sinks import offer_prefix_maxima
 
 IG_SPACE = "space"
 IG_PEAK = "peak"
@@ -138,14 +155,6 @@ class InnerLevelGreedy(SelectionAlgorithm):
             return None
         return sink.ids, sink.space
 
-    @staticmethod
-    def _offer(sink, ids, benefit, cand_space, space_left, strict) -> None:
-        """The stage's offer rule: strict fit filter, then the sink's
-        chain (the sink already rejects non-positive benefit/space)."""
-        if strict and cand_space > space_left + SPACE_EPS:
-            return
-        sink.offer(ids, benefit, cand_space)
-
     def _scan_phase1(
         self, engine, view_ids, sink, singles, space_left, ig_cap, strict
     ) -> None:
@@ -165,34 +174,27 @@ class InnerLevelGreedy(SelectionAlgorithm):
             ):
                 continue
             ig = self._grow_ig(engine, view_id, best_vec, freq, ig_cap, selected_mask)
-            if ig is not None:
-                ids, benefit, cand_space = ig
-                self._offer(sink, ids, benefit, cand_space, space_left, strict)
+            if ig is None:
+                continue
+            ids, benefit, cand_space = ig
+            if strict and cand_space > space_left + SPACE_EPS:
+                continue
+            sink.offer(ids, benefit, cand_space)
 
     def _scan_phase2(
         self, engine, view_ids, sink, space_left, strict, lazy
     ) -> None:
         """Phase 2 over ``view_ids``: single unselected indexes of
-        already-selected views (vectorized benefits)."""
-        selected_mask = engine.selected_mask
-        phase2 = [
-            int(idx)
-            for view_id in view_ids
-            if selected_mask[int(view_id)]
-            for idx in engine.index_ids_of(int(view_id))
-            if not selected_mask[int(idx)]
-        ]
-        if phase2:
-            benefits = engine.single_benefits(phase2, lazy=lazy)
-            for pos, idx in enumerate(phase2):
-                self._offer(
-                    sink,
-                    (idx,),
-                    float(benefits[pos]),
-                    float(engine.spaces[idx]),
-                    space_left,
-                    strict,
-                )
+        already-selected views (vectorized benefits and offers)."""
+        phase2 = phase2_index_ids(engine, view_ids)
+        if phase2.size == 0:
+            return
+        benefits = engine.single_benefits(phase2, lazy=lazy)
+        spaces = engine.spaces[phase2]
+        if strict:
+            fit = spaces <= space_left + SPACE_EPS
+            phase2, benefits, spaces = phase2[fit], benefits[fit], spaces[fit]
+        offer_prefix_maxima(sink, phase2, benefits, spaces)
 
     @staticmethod
     def _view_pruned(
@@ -229,7 +231,9 @@ class InnerLevelGreedy(SelectionAlgorithm):
         selected_mask: np.ndarray,
     ):
         """Inner greedy for one view: returns ``(ids, benefit, space)`` of
-        the grown set (or its peak-ratio prefix), or ``None``."""
+        the grown set (or its peak-ratio prefix), or ``None``.  Each step
+        is one :class:`~repro.core.benefit.FamilyGrowth` pass (see the
+        module docstring)."""
         # note: a bare view larger than the growth cap is still offered —
         # Theorem 5.2 assumes no structure exceeds S, and the while-loop
         # below simply adds no indexes in that case.
@@ -238,28 +242,22 @@ class InnerLevelGreedy(SelectionAlgorithm):
         cur_benefit = float(freq @ (best_vec - cur_min))
         cur_space = view_space
         chosen = [view_id]
-
-        remaining = [
-            int(i) for i in engine.index_ids_of(view_id) if not selected_mask[int(i)]
-        ]
         history = [(tuple(chosen), cur_benefit, cur_space)]
 
-        while remaining and cur_space < ig_cap - SPACE_EPS:
-            # vectorized inner greedy: gain of every remaining index
-            # against the growing set's current per-query minimum
-            idx_arr = np.asarray(remaining, dtype=np.int64)
-            gains = engine.gains_for(idx_arr, cur_min)
-            densities = gains / engine.spaces[idx_arr]
+        block = engine.family_block(view_id)
+        growth = FamilyGrowth(block, selected_mask[block.ids])
+        while growth.remaining and cur_space < ig_cap - SPACE_EPS:
+            gains = growth.gains(cur_min)
+            densities = gains / block.spaces
+            densities[growth.taken] = -np.inf
             pos = int(np.argmax(densities))
             if gains[pos] <= 0.0:
                 break
-            best_idx = int(idx_arr[pos])
-            best_gain = float(gains[pos])
-            best_idx_space = float(engine.spaces[best_idx])
-            remaining.remove(best_idx)
+            growth.take(pos)
+            best_idx = int(block.ids[pos])
             cur_min = engine.minimum_with(cur_min, best_idx)
-            cur_benefit += best_gain
-            cur_space += best_idx_space
+            cur_benefit += float(gains[pos])
+            cur_space += float(block.spaces[pos])
             chosen.append(best_idx)
             history.append((tuple(chosen), cur_benefit, cur_space))
 

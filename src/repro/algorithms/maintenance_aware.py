@@ -34,6 +34,7 @@ from repro.algorithms.base import (
     StageTracker,
     as_engine,
     check_space,
+    phase2_offers,
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult
@@ -157,14 +158,16 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
             )
             sink.offer(tuple(ids), net, cand_space)
 
+        # single unselected indexes of selected views, by net benefit
+        phase2 = phase2_offers(
+            engine, view_ids, singles - self.update_weight * update_costs, space_left
+        )
         best_vec = engine.best_costs
         for view_id in view_ids:
             view_id = int(view_id)
             if selected[view_id]:
-                for idx in engine.index_ids_of(view_id):
-                    idx = int(idx)
-                    if not selected[idx]:
-                        offer([idx], float(singles[idx]))
+                for single in phase2.get(view_id, ()):
+                    sink.offer(*single)
                 continue
             offer([view_id], float(singles[view_id]))
             # 2-greedy shape: the view with its single best index

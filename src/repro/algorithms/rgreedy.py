@@ -48,6 +48,7 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
+    phase2_offers,
     resolve_lazy,
 )
 from repro.core.benefit import BenefitEngine
@@ -190,25 +191,19 @@ class RGreedy(SelectionAlgorithm):
         view-major order restricted to ``view_ids``.
         """
 
-        def fits(candidate_space: float) -> bool:
-            return not strict or candidate_space <= space_left + SPACE_EPS
-
         best_vec = engine.best_costs
         freq = engine.frequencies
         selected_mask = engine.selected_mask
 
+        # phase 2 shape: single unselected indexes of selected views
+        phase2 = phase2_offers(
+            engine, view_ids, singles, space_left if strict else None
+        )
         for view_id in view_ids:
             view_id = int(view_id)
             if selected_mask[view_id]:
-                # phase 2 shape: single unselected indexes of selected views
-                for idx in engine.index_ids_of(view_id):
-                    idx = int(idx)
-                    if selected_mask[idx]:
-                        continue
-                    idx_space = float(engine.spaces[idx])
-                    if not fits(idx_space):
-                        continue
-                    best.offer((idx,), float(singles[idx]), idx_space)
+                for offer in phase2.get(view_id, ()):
+                    best.offer(*offer)
                 continue
 
             view_space = float(engine.spaces[view_id])

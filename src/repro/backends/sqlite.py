@@ -274,9 +274,9 @@ class SqliteBackend:
         if n_keys == 0:
             (total,) = rows[0]
             return {} if total is None else {(): float(total)}
-        return {
-            tuple(int(v) for v in row[:-1]): float(row[-1]) for row in rows
-        }
+        # sqlite3 already decodes the INTEGER key columns to int and a
+        # SUM over the REAL measure to float
+        return {row[:-1]: row[-1] for row in rows}
 
     def execute(
         self,

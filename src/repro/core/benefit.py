@@ -44,7 +44,7 @@ rule, and raises on attempts to commit an index without its view.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +73,10 @@ DENSE_LIMIT_BYTES = 192 * 2**20
 RATIO_RTOL = 1e-12
 
 _BACKENDS = ("auto", "dense", "sparse")
+
+#: A :class:`FamilyGrowth` compacts its live edges once at least this
+#: share of them contribute zero.
+SHED_FRACTION = 0.25
 
 
 def _gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -132,6 +136,108 @@ def csr_minimum_with(
     # fancy-indexed out= would write into a copy; assign instead
     out[cols] = np.minimum(out[cols], row_vals[lo:hi])
     return out
+
+
+class FamilyBlock(NamedTuple):
+    """One view's index rows gathered into flat per-edge arrays.
+
+    ``ids``/``spaces`` describe the ``k`` rows (the view's indexes, in
+    :meth:`BenefitEngine.index_ids_of` order); ``local_row``, ``col``,
+    ``val`` and ``freq`` hold one entry per edge, rows in that order and
+    each row's edges in CSR order — the gather :func:`csr_gains` makes.
+    """
+
+    ids: np.ndarray
+    spaces: np.ndarray
+    local_row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    freq: np.ndarray
+
+
+def family_block(
+    row_ptr: np.ndarray,
+    row_cols: np.ndarray,
+    row_vals: np.ndarray,
+    frequencies: np.ndarray,
+    spaces: np.ndarray,
+    index_ids,
+) -> FamilyBlock:
+    """Gather the CSR rows of ``index_ids`` into a :class:`FamilyBlock`.
+
+    ``np.bincount(local_row, contrib, minlength=k)`` over the block's
+    per-edge contributions then sums every row in the same order
+    :func:`csr_gains` does, so the two agree bit for bit — and so does
+    the bincount over any order-preserving subset of the edges that
+    drops only terms that are ``+0.0``.
+    """
+    ids = np.asarray(index_ids, dtype=np.int64)
+    starts = row_ptr[ids]
+    lengths = row_ptr[ids + 1] - starts
+    flat = _gather_ranges(starts, lengths)
+    col = row_cols[flat].astype(np.intp)
+    return FamilyBlock(
+        ids=ids,
+        spaces=spaces[ids],
+        local_row=np.repeat(np.arange(ids.size, dtype=np.intp), lengths),
+        col=col,
+        val=row_vals[flat],
+        freq=frequencies[col],
+    )
+
+
+class FamilyGrowth:
+    """The live edges of one inner-greedy growth over a :class:`FamilyBlock`.
+
+    :meth:`gains` scores every row of the block against a per-query cost
+    vector with one pass over the live edges; :meth:`take` marks a row
+    chosen and sheds the edges that can no longer contribute.  The caller
+    must pass a ``cur_min`` that never rises between calls (a growth only
+    adds structures).  Then an edge whose contribution
+    ``max(cur_min[col] − val, 0) · freq`` is ``+0.0`` stays ``+0.0`` —
+    each rounded step is monotone in ``cur_min`` — and adding ``+0.0``
+    never changes a non-negative sum, so the gains of every row not yet
+    taken equal :func:`csr_gains` over the same rows bit for bit.
+    """
+
+    __slots__ = ("block", "taken", "remaining", "_edges", "_contrib")
+
+    def __init__(self, block: FamilyBlock, taken: np.ndarray):
+        self.block = block
+        self.taken = np.array(taken, dtype=bool)
+        self.remaining = int(block.ids.size - np.count_nonzero(self.taken))
+        self._edges = (block.local_row, block.col, block.val, block.freq)
+        if self.remaining < block.ids.size:
+            self._keep(np.flatnonzero(~self.taken[block.local_row]))
+        self._contrib: Optional[np.ndarray] = None
+
+    def _keep(self, positions: np.ndarray) -> None:
+        self._edges = tuple(arr.take(positions) for arr in self._edges)
+
+    def gains(self, cur_min: np.ndarray) -> np.ndarray:
+        """Frequency-weighted positive gain of every block row against
+        ``cur_min`` (meaningless for rows already taken)."""
+        row, col, val, freq = self._edges
+        contrib = np.take(cur_min, col)
+        np.subtract(contrib, val, out=contrib)
+        np.maximum(contrib, 0.0, out=contrib)
+        contrib *= freq
+        self._contrib = contrib
+        return np.bincount(row, contrib, minlength=self.block.ids.size)
+
+    def take(self, pos: int) -> None:
+        """Mark row ``pos`` chosen and drop its edges and every edge whose
+        last contribution was zero — once they make up
+        :data:`SHED_FRACTION` of the live edges; until then they cost
+        only a few added zeros."""
+        self.taken[pos] = True
+        self.remaining -= 1
+        row = self._edges[0]
+        live = self._contrib > 0.0
+        live &= row != pos
+        keep = np.flatnonzero(live)
+        if keep.size <= (1.0 - SHED_FRACTION) * row.size:
+            self._keep(keep)
 
 
 def chain_pick(ratios: np.ndarray) -> Optional[int]:
@@ -250,6 +356,7 @@ class BenefitEngine:
         self._singles: Optional[np.ndarray] = None
         self._singles_fresh = False
         self._stage_candidates: Optional[np.ndarray] = None
+        self._family_blocks: dict = {}
         self._fingerprint: Optional[str] = None
         self.reset()
 
@@ -489,6 +596,23 @@ class BenefitEngine:
                 else np.empty(0, dtype=np.int64)
             )
         return self._stage_candidates
+
+    def family_block(self, view_id: int) -> FamilyBlock:
+        """The view's index rows as a :class:`FamilyBlock` (built on
+        first use and cached: the block only reads the static CSR store,
+        whichever backend the engine runs)."""
+        block = self._family_blocks.get(view_id)
+        if block is None:
+            block = family_block(
+                self._row_ptr,
+                self._row_cols,
+                self._row_vals,
+                self.frequencies,
+                self.spaces,
+                self.index_ids_of(view_id),
+            )
+            self._family_blocks[view_id] = block
+        return block
 
     # ------------------------------------------------------- shared export
 

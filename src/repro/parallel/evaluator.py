@@ -174,8 +174,8 @@ class ParallelStageEvaluator(StageEvaluator):
         )
         sink = ChainSink()
         for offers in results:
-            for sid, benefit, space in offers:
-                sink.offer((int(sid),), benefit, space)
+            for cand_ids, benefit, space in offers:
+                sink.offer(cand_ids, benefit, space)
         if sink.ids is None:
             return None
         return sink.ids[0], sink.benefit, sink.space, sink.ratio

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.benefit import RATIO_RTOL
 
 Offer = Tuple[tuple, float, float]
@@ -66,6 +68,42 @@ class ChainSink:
         """Whether a candidate bounded by ``ub_benefit / ub_space`` could
         still displace the incumbent (the subset-search prune test)."""
         return ub_benefit > self.ratio * ub_space * (1 + RATIO_RTOL)
+
+
+def prefix_maxima_offers(ids, benefits, spaces) -> List[Offer]:
+    """The single-structure offers ``((ids[i],), benefits[i], spaces[i])``
+    of a stream that can change a sink, in stream order.
+
+    Entries with non-positive benefit or space are dropped (every sink
+    rejects them), and so is every entry whose ratio does not strictly
+    exceed all earlier ratios of the stream (no tolerance): by the
+    chain-equivalence lemma (module docstring) such an offer can
+    displace neither a :class:`ChainSink` incumbent nor a
+    :class:`RecorderSink` maximum — whatever other offers the sink sees
+    in between, since both only ever raise their ratio.
+    """
+    benefits = np.asarray(benefits, dtype=np.float64)
+    spaces = np.asarray(spaces, dtype=np.float64)
+    pos = np.flatnonzero((benefits > 0.0) & (spaces > 0.0))
+    if pos.size == 0:
+        return []
+    ratios = benefits[pos] / spaces[pos]
+    prev = np.empty_like(ratios)
+    prev[0] = -np.inf
+    np.maximum.accumulate(ratios[:-1], out=prev[1:])
+    ids = np.asarray(ids)
+    return [
+        ((int(ids[p]),), float(benefits[p]), float(spaces[p]))
+        for p in pos[ratios > prev].tolist()
+    ]
+
+
+def offer_prefix_maxima(sink, ids, benefits, spaces) -> None:
+    """Offer ``((ids[i],), benefits[i], spaces[i])`` to ``sink`` in order:
+    the same final sink as offering every entry, with one Python call
+    per strict prefix maximum instead of one per entry."""
+    for offer in prefix_maxima_offers(ids, benefits, spaces):
+        sink.offer(*offer)
 
 
 class RecorderSink:

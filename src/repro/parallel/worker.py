@@ -9,10 +9,11 @@ the master before/by the workers during each dispatch.
 
 :class:`WorkerStore` duck-types the slice of the
 :class:`~repro.core.benefit.BenefitEngine` interface the serial scan
-code reads (``spaces``/``frequencies``/``best_costs``/``selected_mask``/
-``minimum_with``/``gains_for``/``index_ids_of``/``single_benefits``/
-``space_of``), so workers run the *identical* scan implementations the
-serial algorithms use — ``RGreedy._scan_views`` (pruned subset search),
+code reads (``spaces``/``frequencies``/``view_id_of``/``best_costs``/
+``selected_mask``/``minimum_with``/``gains_for``/``index_ids_of``/
+``single_benefits``/``space_of``/``family_block``), so workers run the
+*identical* scan implementations the serial algorithms use —
+``RGreedy._scan_views`` (pruned subset search),
 ``InnerLevelGreedy._scan_phase1/_scan_phase2`` (inner-greedy growth),
 ``MaintenanceAwareGreedy._scan_views`` — only with a
 :class:`~repro.parallel.sinks.RecorderSink` in place of the serial
@@ -33,9 +34,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.benefit import csr_gains, csr_minimum_with
+from repro.core.benefit import (
+    FamilyBlock,
+    csr_gains,
+    csr_minimum_with,
+    family_block,
+)
 from repro.parallel.shm import ShmPack
-from repro.parallel.sinks import RecorderSink
+from repro.parallel.sinks import RecorderSink, prefix_maxima_offers
 
 #: Mirror of repro.algorithms.base.SPACE_EPS (imported by value to keep
 #: this module import-light in spawned children and cycle-free).
@@ -70,6 +76,12 @@ class WorkerStore:
     unconditionally even for dense-backend engines, and the sparse scan
     kernels are the ones whose summation order matches the maintained
     singles cache bitwise.
+
+    Like the engine, the store builds each view's
+    :class:`~repro.core.benefit.FamilyBlock` on first use and keeps it
+    for the worker's lifetime (blocks read only the static CSR pack), so
+    the inner-level growths a worker runs use the same kernel, in the
+    same summation order, as the serial ones.
     """
 
     backend = "sparse"
@@ -101,6 +113,7 @@ class WorkerStore:
             int(cand[bounds[i]]): cand[bounds[i] + 1 : bounds[i + 1]]
             for i in range(view_starts.size)
         }
+        self._family_blocks: dict = {}
 
     # ------------------------------------------- engine duck-type surface
 
@@ -128,6 +141,20 @@ class WorkerStore:
         return csr_gains(
             self._row_ptr, self._row_cols, self._row_vals, self.frequencies, base, ids
         )
+
+    def family_block(self, view_id: int) -> FamilyBlock:
+        block = self._family_blocks.get(view_id)
+        if block is None:
+            block = family_block(
+                self._row_ptr,
+                self._row_cols,
+                self._row_vals,
+                self.frequencies,
+                self.spaces,
+                self.index_ids_of(view_id),
+            )
+            self._family_blocks[view_id] = block
+        return block
 
     def single_benefits(self, ids=None, lazy=None) -> np.ndarray:
         if ids is None:
@@ -223,27 +250,13 @@ def _scan_single(store: WorkerStore, arr: np.ndarray, space_left):
     """Strict prefix maxima of the single-structure offer stream over
     ``arr`` — the same eligibility filters, in the same order, as
     :meth:`BenefitEngine.best_single`."""
-    if arr.size == 0:
-        return []
-    benefits = store._singles[arr]
-    spaces = store.spaces[arr]
     selected = store._selected_mask
-    eligible = (benefits > 0.0) & ~selected[arr]
+    eligible = ~selected[arr]
     eligible &= store.is_view[arr] | selected[store.view_id_of[arr]]
     if space_left is not None:
-        eligible &= spaces <= space_left + _SPACE_EPS
-    if not eligible.any():
-        return []
-    pos = np.flatnonzero(eligible)
-    ratios = benefits[pos] / spaces[pos]
-    prev = np.empty_like(ratios)
-    prev[0] = 0.0
-    np.maximum.accumulate(ratios[:-1], out=prev[1:])
-    keep = pos[ratios > prev]
-    return [
-        (int(arr[p]), float(benefits[p]), float(spaces[p]))
-        for p in keep.tolist()
-    ]
+        eligible &= store.spaces[arr] <= space_left + _SPACE_EPS
+    ids = arr[eligible]
+    return prefix_maxima_offers(ids, store._singles[ids], store.spaces[ids])
 
 
 def _algorithm_for(config: dict):

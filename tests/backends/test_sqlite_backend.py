@@ -326,3 +326,33 @@ class TestSyncInvalidation:
             assert mirror.groups == engine.groups, str(entry.query)
             assert mirror.rows_processed == engine.rows_processed
         assert bundle.backend.execute(query, {}).groups != stale
+
+
+class TestAnswerDecoding:
+    """Group dicts come straight from sqlite3's decoding: every key a
+    tuple of ``int`` (the INTEGER key columns), every sum a ``float``
+    (SUM over the REAL measure) — the types the row engine returns."""
+
+    @pytest.mark.parametrize("bundle", [3, 4, 5], indirect=True)
+    def test_keys_are_int_tuples_and_sums_are_floats(self, bundle):
+        for entry in all_pattern_entries(bundle.fact.schema, per_pattern=1):
+            bound = dict(entry.bound_values)
+            results = [bundle.backend.execute_raw(entry.query, bound)]
+            try:
+                plan = bundle.executor.choose_plan(entry.query)
+            except LookupError:
+                plan = None
+            if plan is not None:
+                results.append(bundle.backend.execute(entry.query, bound, plan=plan))
+            for result in results:
+                for key, value in result.groups.items():
+                    assert type(key) is tuple, str(entry.query)
+                    assert all(type(v) is int for v in key), str(entry.query)
+                    assert type(value) is float, str(entry.query)
+
+    def test_seeded_diff_reports_no_mismatches(self, capsys):
+        from repro.backends.diff import main
+
+        assert main(["--dims", "3,4,5", "--seed", "7"]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert summary.endswith(", 0 mismatches")
