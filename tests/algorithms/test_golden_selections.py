@@ -8,11 +8,13 @@ or breaks a tie differently fails here, even when the selection it
 produces is still a reasonable one.
 
 Cases: the paper's Figure 2 graph and the Example 2.1 TPC-D graph under
-every greedy algorithm, and a d=6 analytical cube (the shape of a full
-advise request: 2020 structures, 729 queries) under 1-greedy, 2-greedy
-and inner-level greedy with strict fit.  The d=6 inner-level and
-2-greedy cases also run with ``workers=2``; the graph is above the
-auto-parallel threshold, so that drives the pooled worker scans too.
+every greedy algorithm, and analytical cubes of d=4, 5 and 6 dimensions
+(d=6 is the shape of a full advise request: 2020 structures, 729
+queries) under 1-greedy and 2-greedy with strict fit, inner-level greedy
+with both growth rules and both fits, and maintenance-aware greedy.  The
+d=6 inner-level (strict fit) and 2-greedy cases also run with
+``workers=2``; the graph is above the auto-parallel threshold, so that
+drives the pooled worker scans too.
 
 Regenerate (only when a selection change is intended, and say why)::
 
@@ -69,19 +71,31 @@ PAPER_ALGORITHMS = {
     "maintenance/0.05": lambda: MaintenanceAwareGreedy(update_weight=0.05),
 }
 
-#: The d=6 algorithms, and which of them also run pooled.
-D6_ALGORITHMS = {
+#: The analytical-cube algorithms, and which of them also run pooled
+#: at d=6.  The inner-level cases without a suffix use strict fit.
+CUBE_ALGORITHMS = {
     "1-greedy": lambda w: RGreedy(1, fit=FIT_STRICT, workers=w),
     "2-greedy": lambda w: RGreedy(2, fit=FIT_STRICT, workers=w),
     "inner-space": lambda w: InnerLevelGreedy(fit=FIT_STRICT, workers=w),
     "inner-peak": lambda w: InnerLevelGreedy(
         fit=FIT_STRICT, ig_rule="peak", workers=w
     ),
+    "inner-space/paper": lambda w: InnerLevelGreedy(fit=FIT_PAPER, workers=w),
+    "inner-peak/paper": lambda w: InnerLevelGreedy(
+        fit=FIT_PAPER, ig_rule="peak", workers=w
+    ),
+    "maintenance/0": lambda w: MaintenanceAwareGreedy(
+        update_weight=0.0, workers=w
+    ),
+    "maintenance/0.05": lambda w: MaintenanceAwareGreedy(
+        update_weight=0.05, workers=w
+    ),
 }
+CUBE_DIMS = (4, 5, 6)
 D6_POOLED = ("2-greedy", "inner-space", "inner-peak")
 
-#: The d=6 input: cardinalities 4, 6, ..., 14, a Zipf ranking of the
-#: 3^6 slice queries, and frequencies from observed draws.
+#: The cube inputs: cardinalities 4, 6, 8, ..., a Zipf ranking of the
+#: 3^d slice queries, and frequencies from observed draws.
 D6_RANKING_SEED = 1997
 D6_DRAW_SEED = 1
 D6_OBSERVED = 100_000
@@ -97,10 +111,12 @@ def paper_input(name: str):
 
 
 @lru_cache(maxsize=None)
-def d6_input():
-    """``(graph, budget)`` of the d=6 cube: the top view plus a quarter
-    of all other structure space."""
-    schema = CubeSchema([Dimension(chr(ord("a") + i), 4 + 2 * i) for i in range(6)])
+def cube_input(dims: int):
+    """``(graph, budget)`` of the ``dims``-dimensional cube: the top view
+    plus a quarter of all other structure space."""
+    schema = CubeSchema(
+        [Dimension(chr(ord("a") + i), 4 + 2 * i) for i in range(dims)]
+    )
     lattice = analytical_lattice(schema, 0.1 * schema.dense_cells)
     queries = list(enumerate_slice_queries(schema.names))
     ranking = zipf_frequencies(
@@ -131,10 +147,10 @@ def run_paper(graph_name: str, algo: str, backend: str) -> dict:
     return record(PAPER_ALGORITHMS[algo]().run(engine, budget, seed=seed))
 
 
-def run_d6(algo: str, backend: str, workers=None) -> dict:
-    graph, budget = d6_input()
+def run_cube(dims: int, algo: str, backend: str, workers=None) -> dict:
+    graph, budget = cube_input(dims)
     engine = BenefitEngine(graph, backend=backend)
-    return record(D6_ALGORITHMS[algo](workers).run(engine, budget))
+    return record(CUBE_ALGORITHMS[algo](workers).run(engine, budget))
 
 
 def compute_all() -> dict:
@@ -144,8 +160,11 @@ def compute_all() -> dict:
             cases[f"{graph_name}/{algo}"] = {
                 backend: run_paper(graph_name, algo, backend) for backend in BACKENDS
             }
-    for algo in D6_ALGORITHMS:
-        cases[f"d6/{algo}"] = {backend: run_d6(algo, backend) for backend in BACKENDS}
+    for dims in CUBE_DIMS:
+        for algo in CUBE_ALGORITHMS:
+            cases[f"d{dims}/{algo}"] = {
+                backend: run_cube(dims, algo, backend) for backend in BACKENDS
+            }
     return cases
 
 
@@ -169,9 +188,16 @@ def test_paper_graph_selection(graph_name, algo, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("algo", list(D6_ALGORITHMS))
+@pytest.mark.parametrize("algo", list(CUBE_ALGORITHMS))
 def test_d6_selection(algo, backend):
-    assert run_d6(algo, backend) == golden()[f"d6/{algo}"][backend]
+    assert run_cube(6, algo, backend) == golden()[f"d6/{algo}"][backend]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("algo", list(CUBE_ALGORITHMS))
+@pytest.mark.parametrize("dims", (4, 5))
+def test_small_cube_selection(dims, algo, backend):
+    assert run_cube(dims, algo, backend) == golden()[f"d{dims}/{algo}"][backend]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -179,13 +205,13 @@ def test_d6_selection(algo, backend):
 def test_d6_pooled_selection(algo, backend):
     from repro.parallel import leaked_segments
 
-    assert run_d6(algo, backend, workers=2) == golden()[f"d6/{algo}"][backend]
+    assert run_cube(6, algo, backend, workers=2) == golden()[f"d6/{algo}"][backend]
     assert leaked_segments() == []
 
 
 def test_fixture_covers_every_case():
     expected = {f"{g}/{a}" for g, a, _ in PAPER_CASES} | {
-        f"d6/{algo}" for algo in D6_ALGORITHMS
+        f"d{dims}/{algo}" for dims in CUBE_DIMS for algo in CUBE_ALGORITHMS
     }
     assert set(golden()) == expected
 
