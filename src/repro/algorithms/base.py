@@ -59,10 +59,12 @@ def as_engine(graph: GraphLike) -> BenefitEngine:
 def resolve_lazy(lazy, engine: BenefitEngine) -> bool:
     """Resolve an algorithm's ``lazy`` parameter against the engine.
 
-    ``None`` (or ``"auto"``) defers to the engine: the sparse backend
-    prefers the lazy stage loops (maintained single-benefit cache), the
-    dense backend keeps the eager full-scan loops.  Lazy and eager loops
-    are cross-checked to produce identical selections.
+    ``None`` (or ``"auto"``) defers to
+    :attr:`~repro.core.benefit.BenefitEngine.prefers_lazy`, which is
+    ``True`` on both backends: the lazy stage loops (maintained
+    single-benefit cache) are the default everywhere, and the eager
+    full-scan loops run only when asked for with ``lazy=False``.  Lazy
+    and eager loops are cross-checked to produce identical selections.
     """
     if lazy is None or lazy == "auto":
         return bool(engine.prefers_lazy)

@@ -38,11 +38,20 @@ still breaks ties by family order.  Phase 2 offers only the strict
 prefix maxima of its benefit/space stream
 (:func:`~repro.parallel.sinks.offer_prefix_maxima`): the others can never
 displace the incumbent.
+
+Growth reuse: a serial run keeps each view's last growth in a
+:class:`GrowthMemo` and replays it while the engine's
+:meth:`~repro.core.benefit.BenefitEngine.family_epoch` of the view is
+unchanged — no commit since has made the view or one of its indexes
+stale, so every gain the growth read is bitwise the same.  The replay is
+cut after the first set that reaches the stage's cap.  Pool workers grow
+every view they scan.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -73,12 +82,16 @@ IG_PEAK = "peak"
 class InnerLevelGreedy(SelectionAlgorithm):
     """Inner-level greedy selection of views and indexes.
 
-    ``lazy=None`` (default) follows the engine: on the sparse backend the
-    maintained single-benefit cache supplies an upper bound on every
-    view's inner-greedy ratio (a set's benefit/space never exceeds the
-    best of its members' standalone ratios), so views that cannot displace
-    the stage incumbent skip the inner greedy entirely.  Candidate order
-    and tie-break match the eager loop, so selections are identical.
+    ``lazy=None`` (default) follows the engine's
+    :attr:`~repro.core.benefit.BenefitEngine.prefers_lazy`, which is
+    ``True`` on both backends: the maintained single-benefit cache
+    supplies an upper bound on every view's inner-greedy ratio (a set's
+    benefit/space never exceeds the best of its members' standalone
+    ratios), so views that cannot displace the stage incumbent skip the
+    inner greedy entirely.  ``lazy=False`` runs the eager loop.  Candidate
+    order and tie-break match the eager loop, so selections are identical.
+    Serial runs also replay a view's growth from the previous stage while
+    no commit has touched its family (:class:`GrowthMemo`).
     """
 
     name = "inner-level greedy"
@@ -121,12 +134,15 @@ class InnerLevelGreedy(SelectionAlgorithm):
         tracker = StageTracker(self, engine, space, context)
         evaluator = make_evaluator(engine, self.workers)
         tracker.set_evaluator(evaluator)
+        growths = GrowthMemo()
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = evaluator.inner_stage(self, engine, space, lazy)
+                candidate = evaluator.inner_stage(
+                    self, engine, space, lazy, growths
+                )
                 if candidate is None:
                     break
                 ids, cand_space = candidate
@@ -139,8 +155,16 @@ class InnerLevelGreedy(SelectionAlgorithm):
 
     # ------------------------------------------------------------ internals
 
-    def _best_stage(self, engine: BenefitEngine, space: float, lazy: bool):
-        """Return ``(ids, space)`` of the stage's winning set, or ``None``."""
+    def _best_stage(
+        self,
+        engine: BenefitEngine,
+        space: float,
+        lazy: bool,
+        growths: Optional["GrowthMemo"] = None,
+    ):
+        """Return ``(ids, space)`` of the stage's winning set, or ``None``.
+        ``growths`` is the run's :class:`GrowthMemo` (``None``: grow
+        every view afresh)."""
         strict = self.fit == FIT_STRICT
         space_left = space - engine.space_used()
         ig_cap = space_left if strict else space
@@ -148,7 +172,7 @@ class InnerLevelGreedy(SelectionAlgorithm):
         singles = engine.single_benefits(lazy=True) if lazy else None
         view_ids = engine.view_ids()
         self._scan_phase1(
-            engine, view_ids, sink, singles, space_left, ig_cap, strict
+            engine, view_ids, sink, singles, space_left, ig_cap, strict, growths
         )
         self._scan_phase2(engine, view_ids, sink, space_left, strict, lazy)
         if sink.ids is None:
@@ -156,12 +180,22 @@ class InnerLevelGreedy(SelectionAlgorithm):
         return sink.ids, sink.space
 
     def _scan_phase1(
-        self, engine, view_ids, sink, singles, space_left, ig_cap, strict
+        self,
+        engine,
+        view_ids,
+        sink,
+        singles,
+        space_left,
+        ig_cap,
+        strict,
+        growths: Optional["GrowthMemo"] = None,
     ) -> None:
         """Phase 1 over ``view_ids``: per-view inner greedy.  Shared by
         the serial stage (sink = incumbent chain) and pool workers (sink
         = recorder over the worker's shard of the view order); ``singles``
-        is the maintained cache, or ``None`` to disable the lazy prune."""
+        is the maintained cache, or ``None`` to disable the lazy prune.
+        With ``growths`` (serial runs), a view's growth is replayed from
+        the memo while its family is unchanged."""
         best_vec = engine.best_costs
         freq = engine.frequencies
         selected_mask = engine.selected_mask
@@ -173,7 +207,18 @@ class InnerLevelGreedy(SelectionAlgorithm):
                 engine, singles, view_id, selected_mask, sink
             ):
                 continue
-            ig = self._grow_ig(engine, view_id, best_vec, freq, ig_cap, selected_mask)
+
+            def grow(view_id=view_id):
+                return self._grow_ig(
+                    engine, view_id, best_vec, freq, ig_cap, selected_mask
+                )
+
+            if growths is None:
+                growth = grow()
+                steps = len(growth.ids)
+            else:
+                growth, steps = growths.growth(engine, view_id, ig_cap, grow)
+            ig = self._pick(growth, steps)
             if ig is None:
                 continue
             ids, benefit, cand_space = ig
@@ -221,6 +266,19 @@ class InnerLevelGreedy(SelectionAlgorithm):
             return False
         return ratio_ub <= sink.prune_ratio
 
+    def _pick(self, growth: "Growth", steps: int):
+        """The ``(ids, benefit, space)`` the first ``steps`` sets of a
+        growth offer under this algorithm's rule, or ``None`` when its
+        benefit is not positive."""
+        end = steps - 1
+        if self.ig_rule == IG_PEAK:
+            ratios = [b / s for b, s in zip(growth.benefits[:steps], growth.spaces)]
+            end = ratios.index(max(ratios))
+        benefit = growth.benefits[end]
+        if benefit <= 0:
+            return None
+        return growth.ids[: end + 1], benefit, growth.spaces[end]
+
     def _grow_ig(
         self,
         engine: BenefitEngine,
@@ -229,20 +287,20 @@ class InnerLevelGreedy(SelectionAlgorithm):
         freq: np.ndarray,
         ig_cap: float,
         selected_mask: np.ndarray,
-    ):
-        """Inner greedy for one view: returns ``(ids, benefit, space)`` of
-        the grown set (or its peak-ratio prefix), or ``None``.  Each step
-        is one :class:`~repro.core.benefit.FamilyGrowth` pass (see the
-        module docstring)."""
+    ) -> "Growth":
+        """Inner greedy for one view, from ``{view}`` on while the set's
+        space stays below ``ig_cap``.  Each step is one
+        :class:`~repro.core.benefit.FamilyGrowth` pass (see the module
+        docstring)."""
         # note: a bare view larger than the growth cap is still offered —
         # Theorem 5.2 assumes no structure exceeds S, and the while-loop
         # below simply adds no indexes in that case.
-        view_space = float(engine.spaces[view_id])
         cur_min = engine.minimum_with(best_vec, view_id)
         cur_benefit = float(freq @ (best_vec - cur_min))
-        cur_space = view_space
+        cur_space = float(engine.spaces[view_id])
         chosen = [view_id]
-        history = [(tuple(chosen), cur_benefit, cur_space)]
+        benefits = [cur_benefit]
+        spaces = [cur_space]
 
         block = engine.family_block(view_id)
         growth = FamilyGrowth(block, selected_mask[block.ids])
@@ -259,11 +317,52 @@ class InnerLevelGreedy(SelectionAlgorithm):
             cur_benefit += float(gains[pos])
             cur_space += float(block.spaces[pos])
             chosen.append(best_idx)
-            history.append((tuple(chosen), cur_benefit, cur_space))
+            benefits.append(cur_benefit)
+            spaces.append(cur_space)
+        return Growth(tuple(chosen), benefits, spaces)
 
-        if self.ig_rule == IG_PEAK:
-            best_entry = max(history, key=lambda e: e[1] / e[2])
-            ids, benefit, cand_space = best_entry
-            return (ids, benefit, cand_space) if benefit > 0 else None
-        ids, benefit, cand_space = history[-1]
-        return (tuple(ids), benefit, cand_space) if benefit > 0 else None
+
+class Growth(NamedTuple):
+    """One inner-greedy growth: ``ids[:i + 1]`` is the set after step
+    ``i`` (step 0 is the view alone), with benefit ``benefits[i]`` and
+    space ``spaces[i]``."""
+
+    ids: tuple
+    benefits: list
+    spaces: list
+
+
+class GrowthMemo:
+    """The growths of one serial inner-level run, by view.
+
+    A growth from a view reads the best costs only at the columns its
+    family's edges reach, and only where one of them beats the best
+    cost; everywhere else each of its addends is ``+0.0`` whatever the
+    best cost.  So until the engine's
+    :meth:`~repro.core.benefit.BenefitEngine.family_epoch` of the view
+    moves, a new growth would take the same steps with the same float
+    values, and the recorded one is replayed instead.  The cap only
+    decides where the loop stops, so a growth recorded under a cap
+    serves any cap up to it: it is cut after the first set that reaches
+    the cap (the strict fit's cap only shrinks, the paper fit's stays
+    put).
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: dict = {}
+
+    def growth(self, engine, view_id: int, ig_cap: float, grow):
+        """``(growth, steps)``: the growth from ``view_id`` and how many
+        of its sets a growth under ``ig_cap`` makes — replayed when still
+        valid, else ``grow()``'s, which is then recorded."""
+        epoch = engine.family_epoch(view_id)
+        entry = self._entries.get(view_id)
+        if entry is not None and entry[0] == epoch and ig_cap <= entry[1]:
+            growth = entry[2]
+            reached = bisect_left(growth.spaces, ig_cap - SPACE_EPS)
+            return growth, min(reached + 1, len(growth.ids))
+        growth = grow()
+        self._entries[view_id] = (epoch, ig_cap, growth)
+        return growth, len(growth.ids)

@@ -53,7 +53,9 @@ class LocalSearchRefiner:
     max_rounds:
         Maximum improvement rounds (each round scans all moves once).
     lazy:
-        ``None`` (default) follows the engine backend.  When lazy, the
+        ``None`` (default) follows the engine's
+        :attr:`~repro.core.benefit.BenefitEngine.prefers_lazy` — lazy
+        on both backends; ``False`` forces the eager scan.  When lazy, the
         add-move scan consults the maintained single-benefit cache and
         only evaluates structures whose cached benefit is positive — a
         structure with zero cached benefit has exactly zero marginal

@@ -132,7 +132,7 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
 
     def _best_stage(self, engine: BenefitEngine, space: float, update_costs):
         space_left = space - engine.space_used()
-        singles = engine.single_benefits()
+        singles = engine.single_benefits(lazy=True)
         sink = ChainSink()
         self._scan_views(
             engine, engine.view_ids(), sink, space_left, update_costs, singles

@@ -22,8 +22,8 @@ changing the result:
 * the inner subset search prunes with a submodularity-based upper bound
   (sound: individual index gains computed against the stage's base state
   dominate any later marginal gain);
-* in lazy mode (``lazy=True``, or the engine's default for the sparse
-  backend) per-structure benefits come from the engine's incrementally
+* in lazy mode (the default on both backends; ``lazy=False`` forces the
+  eager loop) per-structure benefits come from the engine's incrementally
   maintained cache instead of a full re-scan, and a whole view's index
   subtree is skipped when the cached-singles upper bound on any bundle
   ratio cannot displace the stage incumbent.  Candidates are still offered
@@ -74,10 +74,11 @@ class RGreedy(SelectionAlgorithm):
         ``"paper"`` or ``"strict"`` space semantics (see
         :mod:`repro.algorithms.base`).
     lazy:
-        ``None`` (default) follows the engine — lazy on the sparse
-        backend, eager on the dense one.  ``True``/``False`` force the
-        maintained-cache or full-rescan stage loop.  Both produce the
-        same selection.
+        ``None`` (default) follows the engine's
+        :attr:`~repro.core.benefit.BenefitEngine.prefers_lazy` — the
+        maintained-cache loop on both backends.  ``True``/``False``
+        force the maintained-cache or full-rescan stage loop.  Both
+        produce the same selection.
     workers:
         Stage-evaluation parallelism (see :mod:`repro.parallel`):
         ``None`` defers to ``REPRO_WORKERS`` (unset = serial), ``1`` is

@@ -30,11 +30,25 @@ On top of either store the engine maintains *incremental single-structure
 benefits*: after a :meth:`commit`, only queries whose best cost dropped
 (the *dirty columns*) can change any candidate's standalone benefit, so
 only structures with an edge into a dirty column (the *stale rows*) are
-re-scored.  :meth:`lazy_best_single` exploits this — a greedy stage costs
-``O(stale edges)`` instead of ``O(n_structures · n_queries)`` — and
-:meth:`invalidate` drops the cache.  The eager full-recompute path is
-retained (``single_benefits(lazy=False)``) and cross-checked in tests:
-lazy and eager stage loops must produce identical selections.
+re-scored.  The re-score runs over a per-run :class:`LiveEdges` store: a
+copy of the CSR rows, built in the first full pass, that keeps only the
+edges whose contribution ``max(best − cost, 0) · freq`` is still
+positive.  Best costs only fall within a run, so a dropped edge would
+only add ``+0.0`` and the sums stay bit-identical to :func:`csr_gains`;
+the store is compacted once :data:`SHED_FRACTION` of it has died.
+:meth:`lazy_best_single` exploits this — a greedy stage costs
+``O(live stale edges)`` instead of ``O(n_structures · n_queries)`` — and
+:meth:`~BenefitEngine.reset`, :meth:`~BenefitEngine.restore` and a
+full :meth:`~BenefitEngine.invalidate` drop the cache and its live
+edges, since best costs may then have risen.  The eager full-recompute path is retained
+(``single_benefits(lazy=False)``) and cross-checked in tests: lazy and
+eager stage loops must produce identical selections.
+
+The same refresh stamps the owning view of every stale row with a new
+*family epoch* (:meth:`~BenefitEngine.family_epoch`).  While a view's
+epoch holds still, every gain its family's edges give against the best
+costs is unchanged, which lets inner-level greedy replay a view's growth
+instead of regrowing it.
 
 An index is *usable* only when its owning view is materialized; the engine
 exposes :meth:`BenefitEngine.is_admissible` so algorithms can enforce the
@@ -74,8 +88,8 @@ RATIO_RTOL = 1e-12
 
 _BACKENDS = ("auto", "dense", "sparse")
 
-#: A :class:`FamilyGrowth` compacts its live edges once at least this
-#: share of them contribute zero.
+#: A :class:`FamilyGrowth` or :class:`LiveEdges` store compacts its live
+#: edges once at least this share of them contribute zero.
 SHED_FRACTION = 0.25
 
 
@@ -184,6 +198,82 @@ def family_block(
         val=row_vals[flat],
         freq=frequencies[col],
     )
+
+
+def _edge_gains(
+    base: np.ndarray, cols: np.ndarray, vals: np.ndarray, frequencies: np.ndarray
+) -> np.ndarray:
+    """``max(base[cols] − vals, 0) · frequencies[cols]`` per edge — the
+    addends :func:`csr_gains` sums, rounded the same way."""
+    contrib = base.take(cols)
+    contrib -= vals
+    np.maximum(contrib, 0.0, out=contrib)
+    contrib *= frequencies.take(cols)
+    return contrib
+
+
+class LiveEdges:
+    """The edges of a CSR store that still add to some single benefit.
+
+    Built from one full pass of per-edge contributions
+    ``max(best[col] − val, 0) · freq[col]`` over the store, minus the
+    edges whose contribution is ``+0.0``: rows in id order and each
+    row's edges in CSR order, under a row pointer of their own.  While
+    ``best`` only falls, a dropped edge's contribution stays ``+0.0``
+    (each rounded step is monotone in ``best``) and adding ``+0.0`` never
+    changes a non-negative sum, so :meth:`rescore` — one ``np.bincount``
+    over the live edges of the given rows — equals :func:`csr_gains`
+    over the full rows bit for bit.  Each rescore counts the edges of
+    its rows that now contribute zero; once those make up
+    :data:`SHED_FRACTION` of the store, it is compacted.
+    """
+
+    __slots__ = ("ptr", "cols", "vals", "_row_dead", "_dead")
+
+    def __init__(
+        self,
+        row_ptr: np.ndarray,
+        row_cols: np.ndarray,
+        row_vals: np.ndarray,
+        contrib: np.ndarray,
+    ):
+        self.ptr, self.cols, self.vals = row_ptr, row_cols, row_vals
+        self._drop(np.flatnonzero(contrib == 0.0))
+
+    def _drop(self, dead: np.ndarray) -> None:
+        """Remove the edges at the sorted positions ``dead``."""
+        live = np.ones(self.cols.size, dtype=bool)
+        live[dead] = False
+        self.ptr = self.ptr - np.searchsorted(dead, self.ptr)
+        self.cols = self.cols[live]
+        self.vals = self.vals[live]
+        self._row_dead = np.zeros(self.ptr.size - 1, dtype=np.int64)
+        self._dead = 0
+
+    def rescore(
+        self, ids: np.ndarray, best: np.ndarray, frequencies: np.ndarray
+    ) -> np.ndarray:
+        """Single benefits of the rows ``ids`` (unique) against ``best``,
+        which must not have risen since the store was built."""
+        starts = self.ptr[ids]
+        lengths = self.ptr[ids + 1] - starts
+        flat = _gather_ranges(starts, lengths)
+        contrib = _edge_gains(
+            best, self.cols.take(flat), self.vals.take(flat), frequencies
+        )
+        del flat
+        local = np.repeat(np.arange(ids.size, dtype=np.intp), lengths)
+        gains = np.bincount(local, contrib, minlength=ids.size)
+        row_dead = np.bincount(
+            local.take(np.flatnonzero(contrib == 0.0)), minlength=ids.size
+        )
+        del local, contrib
+        self._dead += int(row_dead.sum() - self._row_dead[ids].sum())
+        self._row_dead[ids] = row_dead
+        if self._dead and self._dead >= SHED_FRACTION * self.cols.size:
+            contrib = _edge_gains(best, self.cols, self.vals, frequencies)
+            self._drop(np.flatnonzero(contrib == 0.0))
+        return gains
 
 
 class FamilyGrowth:
@@ -355,6 +445,9 @@ class BenefitEngine:
         self._csr_routed = False
         self._singles: Optional[np.ndarray] = None
         self._singles_fresh = False
+        self._live: Optional[LiveEdges] = None
+        self._epoch = 0
+        self._family_epoch = np.zeros(n_s, dtype=np.int64)
         self._stage_candidates: Optional[np.ndarray] = None
         self._family_blocks: dict = {}
         self._fingerprint: Optional[str] = None
@@ -680,7 +773,7 @@ class BenefitEngine:
         self._best = self.defaults.copy()
         self._selected: set = set()
         self._selected_mask = np.zeros(self.n_structures, dtype=bool)
-        self._singles_fresh = False
+        self._drop_singles()
 
     @property
     def selected_ids(self) -> frozenset:
@@ -793,10 +886,46 @@ class BenefitEngine:
         )
 
     def _ensure_singles(self) -> np.ndarray:
+        """The maintained singles; a full pass builds them, and the
+        run's :class:`LiveEdges` store, when they are not fresh."""
         if not self._singles_fresh:
-            self._singles = self._eager_singles_sparse(None)
+            contrib = _edge_gains(
+                self._best, self._row_cols, self._row_vals, self.frequencies
+            )
+            self._singles = np.bincount(
+                self._nnz_rows, weights=contrib, minlength=self.n_structures
+            )
+            self._live = LiveEdges(
+                self._row_ptr, self._row_cols, self._row_vals, contrib
+            )
             self._singles_fresh = True
         return self._singles
+
+    def _drop_singles(self) -> None:
+        """Forget the maintained singles and their live edges, and mark
+        every family changed."""
+        self._singles_fresh = False
+        self._live = None
+        self._stamp_families(None)
+
+    def _stamp_families(self, ids) -> None:
+        """Start a new epoch and stamp it on the owning view of each of
+        ``ids`` (``None``: of every structure)."""
+        self._epoch += 1
+        if ids is None:
+            self._family_epoch.fill(self._epoch)
+        else:
+            self._family_epoch[self.view_id_of[ids]] = self._epoch
+
+    def family_epoch(self, view_id: int) -> int:
+        """Epoch of the last change that can have moved a growth from
+        ``view_id``: a commit that made the view or one of its indexes
+        stale (see :meth:`stale_structures_after`), or any commit made
+        while the maintained singles were not fresh, a reset, a restore
+        or an :meth:`invalidate`.  While it holds still, every gain the
+        family's edges give against the best costs is bitwise unchanged,
+        and so is an inner-greedy growth from the view."""
+        return int(self._family_epoch[view_id])
 
     def stale_structures_after(self, old_best: np.ndarray) -> np.ndarray:
         """Structures whose standalone benefit may have changed since the
@@ -826,26 +955,34 @@ class BenefitEngine:
 
     def _refresh_singles_after(self, old_best: np.ndarray) -> None:
         """Incrementally re-score only structures touched by queries whose
-        best cost just dropped (see :meth:`stale_structures_after`)."""
+        best cost just dropped (see :meth:`stale_structures_after`), over
+        their live edges, and stamp their families with a new epoch."""
         stale = self.stale_structures_after(old_best)
         if stale.size:
-            self._singles[stale] = self._eager_singles_sparse(stale)
+            self._stamp_families(stale)
+            self._singles[stale] = self._live.rescore(
+                stale, self._best, self.frequencies
+            )
 
     def invalidate(self, ids=None) -> None:
         """Drop (or selectively refresh) the maintained single-benefit cache.
 
         ``ids=None`` discards the whole cache — the next lazy call pays a
         full recompute.  With ``ids``, those rows are re-scored in place
-        when the cache is live (no-op otherwise).  Algorithms normally
-        never need this — :meth:`commit`, :meth:`reset` and
-        :meth:`restore` keep the cache consistent — but external
-        mutations of engine state should call it.
+        when the cache is live (no-op otherwise).  Either way the
+        families of the structures concerned get a new
+        :meth:`family_epoch`.  Algorithms normally never need this —
+        :meth:`commit`, :meth:`reset` and :meth:`restore` keep the cache
+        consistent — but external mutations of engine state should call
+        it.
         """
         if ids is None:
-            self._singles_fresh = False
-        elif self._singles_fresh:
-            arr = np.asarray(list(ids), dtype=np.int64)
-            if arr.size:
+            self._drop_singles()
+            return
+        arr = np.asarray(list(ids), dtype=np.int64)
+        if arr.size:
+            self._stamp_families(arr)
+            if self._singles_fresh:
                 self._singles[arr] = self._eager_singles_sparse(arr)
 
     def single_benefits(self, ids=None, lazy: Optional[bool] = None) -> np.ndarray:
@@ -991,6 +1128,8 @@ class BenefitEngine:
         self._selected_mask[arr] = True
         if self._singles_fresh:
             self._refresh_singles_after(old_best)
+        else:
+            self._stamp_families(None)
         return benefit
 
     # ---------------------------------------------- snapshots (backtracking)
@@ -1006,7 +1145,7 @@ class BenefitEngine:
         self._selected_mask = np.zeros(self.n_structures, dtype=bool)
         if self._selected:
             self._selected_mask[np.fromiter(self._selected, dtype=np.int64)] = True
-        self._singles_fresh = False
+        self._drop_singles()
 
     # ------------------------------------------------------------- reporting
 

@@ -127,8 +127,10 @@ class StageEvaluator:
     def rgreedy_stage(self, algo, engine, space, lazy):
         return algo._best_stage(engine, space, lazy)
 
-    def inner_stage(self, algo, engine, space, lazy):
-        return algo._best_stage(engine, space, lazy)
+    def inner_stage(self, algo, engine, space, lazy, growths=None):
+        """``growths``: the run's growth memo, which only the serial
+        scan uses (pool workers grow every view they scan)."""
+        return algo._best_stage(engine, space, lazy, growths)
 
     def maintenance_stage(self, algo, engine, space, update_costs):
         return algo._best_stage(engine, space, update_costs)
@@ -203,7 +205,7 @@ class ParallelStageEvaluator(StageEvaluator):
                 best.offer(tuple(cand_ids), benefit, cand_space)
         return best
 
-    def inner_stage(self, algo, engine, space, lazy):
+    def inner_stage(self, algo, engine, space, lazy, growths=None):
         strict = algo.fit == _FIT_STRICT
         space_left = space - engine.space_used()
         ig_cap = space_left if strict else space
