@@ -28,6 +28,21 @@ row engine regardless of accumulation order; with arbitrary floats the
 sums agree to accumulation-order rounding, which is why the differential
 suite pins integral measures.
 
+The mirror follows the catalog incrementally.  Each view row is stored
+under the rowid equal to its key's mixed-radix code over the schema
+cardinalities (:func:`repro.engine.coding.key_codes`), so rowid order is
+engine row order in every mirror state.  A fact delta (a
+``catalog.version`` bump on the same catalog and generation) is then
+applied as a delta: the new fact rows are appended, and each view's
+previously mirrored table is diffed against the catalog's current one
+on their sorted key codes — changed measures become ``UPDATE``s by
+rowid and new groups ``INSERT``s, while SQLite maintains the
+``CREATE INDEX``es itself.  Anything a delta cannot express (a new
+generation or catalog, a changed view, index or measure set, a vanished
+key, a rewritten fact prefix, or keys too wide for an ``int64`` code)
+rebuilds the mirror from scratch, which leaves the same tables, rowids
+and DDL.
+
 The backend also reports what SQLite *actually did*: each result carries
 the ``EXPLAIN QUERY PLAN`` detail lines and the index the plan used, the
 raw material for the measured-vs-predicted validation pass
@@ -42,12 +57,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index
 from repro.core.query import SliceQuery
 from repro.core.view import View
+from repro.cube.schema import CubeSchema
 from repro.engine.catalog import Catalog
+from repro.engine.coding import key_codes
 from repro.engine.executor import Executor
+from repro.engine.table import FactTable, ViewTable
 from repro.sql import _IDENTIFIER_RE, format_select
 
 #: Name of the mirrored fact table.
@@ -106,6 +126,36 @@ def index_name(index: Index, table: str) -> str:
     return f"idx_{table}__{'_'.join(index.key)}"
 
 
+def view_rowids(table: ViewTable, schema: CubeSchema) -> Optional[np.ndarray]:
+    """The mirrored rowids of a view's rows: each key's code over the
+    schema cardinalities of ``table.attrs``.
+
+    ``None`` when the codes cannot serve as rowids in engine row order —
+    they overflow ``int64``, a key lies outside its dimension's domain,
+    or the rows are not strictly ascending by key — in which case the
+    view is mirrored under SQLite's own rowids and every change to it
+    rebuilds the mirror.
+    """
+    if not table.attrs:
+        return np.zeros(table.n_rows, dtype=np.int64) if table.n_rows <= 1 else None
+    columns = [table.key_columns[a] for a in table.attrs]
+    dims = [schema.cardinality(a) for a in table.attrs]
+    try:
+        codes = key_codes(columns, dims)
+    except ValueError:  # a key outside its dimension's domain
+        return None
+    if codes is None or not (codes[1:] > codes[:-1]).all():
+        return None
+    return codes
+
+
+def _same_bits(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether two equal-length columns hold bitwise the same values."""
+    if old.dtype.kind == "f":
+        old, new = old.view(np.int64), new.view(np.int64)
+    return bool(np.array_equal(old, new))
+
+
 class SqliteBackend:
     """Mirror a catalog into SQLite and answer slice queries there.
 
@@ -140,9 +190,19 @@ class SqliteBackend:
         self._view_names: Dict[View, str] = {}
         self._view_rows: Dict[View, int] = {}
         self._fact_rows = 0
-        #: How many times the mirror was (re)built — lets tests assert
-        #: that version bumps invalidate and no-op batches do not.
+        # what the mirror holds, by reference: the fact table and view
+        # tables last written, each view's rowids (None: not codable),
+        # and the index list — the base a delta sync diffs against
+        self._fact: Optional[FactTable] = None
+        self._tables: Dict[View, ViewTable] = {}
+        self._rowids: Dict[View, Optional[np.ndarray]] = {}
+        self._indexes: Tuple[Index, ...] = ()
+        #: How many times the mirror was (re)built from scratch — lets
+        #: tests assert that only a fallback rebuilds and no-op batches
+        #: do nothing.
         self.reloads = 0
+        #: How many version bumps were applied to the mirror as a delta.
+        self.delta_syncs = 0
         if catalog is not None:
             self.load(catalog)
 
@@ -152,8 +212,9 @@ class SqliteBackend:
         """(Re)build the SQLite mirror of ``catalog`` from scratch.
 
         Drops every mirrored table, recreates the fact table and one
-        table per materialized view (rows inserted in engine row order),
-        and issues one ``CREATE INDEX`` per selected index.
+        table per materialized view (rows inserted in engine row order,
+        under the rowids of :func:`view_rowids` where they exist), and
+        issues one ``CREATE INDEX`` per selected index.
         """
         with self._lock:
             schema = catalog.fact.schema
@@ -188,6 +249,8 @@ class SqliteBackend:
 
             self._view_names = {}
             self._view_rows = {}
+            self._tables = {}
+            self._rowids = {}
             for view in catalog.views():
                 table = catalog.view_table(view)
                 name = view_table_name(table.attrs)
@@ -196,14 +259,12 @@ class SqliteBackend:
                 conn.execute(
                     f"CREATE TABLE {name} ({cols}{table.measure} REAL NOT NULL)"
                 )
-                view_columns = [table.key_columns[a].tolist() for a in table.attrs]
-                view_columns.append(table.values.tolist())
-                marks = ", ".join("?" * len(view_columns))
-                conn.executemany(
-                    f"INSERT INTO {name} VALUES ({marks})", zip(*view_columns)
-                )
+                rowids = view_rowids(table, schema)
+                self._insert_rows(name, table, slice(None), rowids)
                 self._view_names[view] = name
                 self._view_rows[view] = table.n_rows
+                self._tables[view] = table
+                self._rowids[view] = rowids
 
             for index in catalog.indexes():
                 table_name = self._view_names[index.view]
@@ -215,24 +276,150 @@ class SqliteBackend:
 
             self.catalog = catalog
             self._planner = Executor(catalog, self.cost_model)
+            self._fact = fact
             self._fact_rows = fact.n_rows
+            self._indexes = tuple(catalog.indexes())
             self._token = (generation, catalog.version)
             self.reloads += 1
 
+    def _insert_rows(
+        self, name: str, table: ViewTable, rows, rowids: Optional[np.ndarray]
+    ) -> None:
+        """Insert the given rows of a view (keys in ``table.attrs`` order,
+        then the primary measure), under their rowids when it has them."""
+        names = [*table.attrs, table.measure]
+        columns = [table.key_columns[a][rows].tolist() for a in table.attrs]
+        columns.append(table.values[rows].tolist())
+        if rowids is not None:
+            names.insert(0, "rowid")
+            columns.insert(0, rowids[rows].tolist())
+        self._conn.executemany(
+            f"INSERT INTO {name} ({', '.join(names)}) "
+            f"VALUES ({', '.join('?' * len(names))})",
+            zip(*columns),
+        )
+
+    def _plan_delta(self, catalog: Catalog, generation: int) -> Optional[list]:
+        """Per-view changes that carry the mirror to ``catalog``, or
+        ``None`` when only a rebuild can.
+
+        Each entry is ``(view, table, rowids, changed, added)``: the
+        catalog's current table and its rowids, the positions (in the
+        current table) of groups the mirror holds with a different
+        measure, and of groups it does not hold yet.
+        """
+        old_fact, fact = self._fact, catalog.fact
+        if (
+            catalog is not self.catalog
+            or generation != self._token[0]
+            or tuple(catalog.views()) != tuple(self._tables)
+            or tuple(catalog.indexes()) != self._indexes
+            or fact.schema != old_fact.schema
+            or fact.measure_names != old_fact.measure_names
+            or fact.n_rows < old_fact.n_rows
+        ):
+            return None
+        if fact is not old_fact:
+            n = old_fact.n_rows
+            for name in fact.schema.names:
+                if not _same_bits(old_fact.columns[name], fact.columns[name][:n]):
+                    return None
+            for name in fact.measure_names:
+                old = old_fact.measure_column(name)
+                if not _same_bits(old, fact.measure_column(name)[:n]):
+                    return None
+        plan = []
+        for view, old in self._tables.items():
+            table = catalog.view_table(view)
+            if table is old:
+                continue
+            old_ids = self._rowids[view]
+            if (
+                old_ids is None
+                or table.attrs != old.attrs
+                or table.measure != old.measure
+            ):
+                return None
+            rowids = view_rowids(table, fact.schema)
+            if rowids is None:
+                return None
+            at = np.searchsorted(rowids, old_ids)
+            if len(old_ids) and (
+                at[-1] >= len(rowids) or not np.array_equal(rowids[at], old_ids)
+            ):
+                return None  # a group the mirror holds has vanished
+            moved = table.values[at].view(np.int64) != old.values.view(np.int64)
+            added = np.ones(len(rowids), dtype=bool)
+            added[at] = False
+            plan.append(
+                (view, table, rowids, at[moved], np.flatnonzero(added))
+            )
+        return plan
+
+    def _apply_delta(self, catalog: Catalog, generation: int, plan: list) -> None:
+        """Write a :meth:`_plan_delta` plan and the new fact rows in one
+        transaction; on an error it rolls back and the mirror keeps its
+        previous state."""
+        conn = self._conn
+        fact = catalog.fact
+        new = slice(self._fact_rows, fact.n_rows)
+        try:
+            if new.start < new.stop:
+                columns = [fact.columns[n][new].tolist() for n in fact.schema.names]
+                columns.extend(
+                    fact.measure_column(n)[new].tolist() for n in fact.measure_names
+                )
+                marks = ", ".join("?" * len(columns))
+                conn.executemany(
+                    f"INSERT INTO {FACT_TABLE} VALUES ({marks})", zip(*columns)
+                )
+            for view, table, rowids, changed, added in plan:
+                name = self._view_names[view]
+                if len(changed):
+                    conn.executemany(
+                        f"UPDATE {name} SET {table.measure} = ? WHERE rowid = ?",
+                        zip(table.values[changed].tolist(), rowids[changed].tolist()),
+                    )
+                if len(added):
+                    self._insert_rows(name, table, added, rowids)
+            conn.commit()
+        except sqlite3.Error:
+            conn.rollback()
+            raise
+        for view, table, rowids, _, _ in plan:
+            self._tables[view] = table
+            self._rowids[view] = rowids
+            self._view_rows[view] = table.n_rows
+        self._fact = fact
+        self._fact_rows = fact.n_rows
+        self._token = (generation, catalog.version)
+        self.delta_syncs += 1
+
     def sync(self, catalog: Catalog, generation: int = 0) -> bool:
-        """Reload the mirror iff the serving data changed.
+        """Bring the mirror up to date iff the serving data changed.
 
         The token is ``(generation, catalog.version)`` — the same pair
-        the serving result cache tags entries with — so a hot swap (new
-        generation, new catalog) and an applied fact delta (version
-        bump on the same catalog) both rebuild the mirror, while steady
-        batches are no-ops.  Returns whether a rebuild happened.
+        the serving result cache tags entries with — so steady batches
+        are no-ops.  An applied fact delta (version bump on the same
+        catalog and generation) is written as a delta: the new fact rows
+        are appended and each view gets ``UPDATE``s for its changed
+        groups and ``INSERT``s for its new ones (counted in
+        :attr:`delta_syncs`).  A hot swap (new generation or catalog),
+        a changed view, index or measure set, a vanished group or a
+        rewritten fact prefix rebuilds the mirror with :meth:`load`
+        (counted in :attr:`reloads`).  Either way the mirror ends up
+        row-for-row, rowid for rowid, what a fresh :meth:`load` builds.
+        Returns whether the mirror changed.
         """
         with self._lock:
             token = (generation, catalog.version)
             if catalog is self.catalog and token == self._token:
                 return False
-            self.load(catalog, generation=generation)
+            plan = self._plan_delta(catalog, generation)
+            if plan is None:
+                self.load(catalog, generation=generation)
+            else:
+                self._apply_delta(catalog, generation, plan)
             return True
 
     def ddl(self) -> List[str]:

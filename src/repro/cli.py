@@ -1051,9 +1051,11 @@ def _report_serving(args: argparse.Namespace, server, report, recorder) -> int:
         f"{snapshot['swaps']} selection swaps"
     )
     if server.backend is not None:
+        reloads, deltas = server.backend.reloads, server.backend.delta_syncs
         print(
-            f"backend: sqlite ({server.backend.reloads} mirror "
-            f"{'rebuild' if server.backend.reloads == 1 else 'rebuilds'})"
+            f"backend: sqlite ({reloads} mirror "
+            f"{'rebuild' if reloads == 1 else 'rebuilds'}), {deltas} delta "
+            f"{'sync' if deltas == 1 else 'syncs'}"
         )
     cache = snapshot["cache"]
     if cache["enabled"]:

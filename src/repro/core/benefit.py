@@ -951,7 +951,9 @@ class BenefitEngine:
         beating = self._col_vals[flat] < np.repeat(old_best[dirty], lengths)
         if not beating.any():
             return np.empty(0, dtype=np.int64)
-        return np.unique(self._col_rows[flat[beating]]).astype(np.int64)
+        stale = np.zeros(self.n_structures, dtype=bool)
+        stale[self._col_rows[flat[beating]]] = True
+        return np.flatnonzero(stale)
 
     def _refresh_singles_after(self, old_best: np.ndarray) -> None:
         """Incrementally re-score only structures touched by queries whose

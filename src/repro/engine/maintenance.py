@@ -8,9 +8,14 @@ refresh for the engine:
 * :func:`apply_delta` — append a batch of fact rows and propagate it to
   every materialized view (aggregate the delta, merge into the sorted
   view table) and every index (re-sorted with one ``np.lexsort``, since
-  merged tables renumber rows).  Returns a :class:`RefreshReport` of
-  rows touched, so the maintenance cost is measurable in the same unit
-  as query cost.
+  merged tables renumber rows).  Both the delta aggregation and the
+  merge group on one mixed-radix ``int64`` code per row
+  (:func:`repro.engine.coding.group_rows`), a 1-D sort where a row-wise
+  ``np.unique(axis=0)`` would argsort rows as void bytes; the merged
+  tables are bit-identical either way.  Returns a :class:`RefreshReport`
+  of rows touched, so the maintenance cost is measurable in the same
+  unit as query cost.  A SQLite mirror of the catalog follows the
+  refresh as a delta too (:meth:`repro.backends.sqlite.SqliteBackend.sync`).
 * :func:`estimate_refresh_cost` — the analytical counterpart: the rows a
   refresh of a selection touches, usable as a maintenance-cost model when
   weighing selections (cf. the view-selection-with-maintenance framework
@@ -29,7 +34,8 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from repro.engine.catalog import Catalog
-from repro.engine.materialize import _aggregate, _group_keys, materialize_view
+from repro.engine.coding import group_rows
+from repro.engine.materialize import _aggregate, materialize_view
 from repro.engine.table import FactTable, ViewTable
 
 
@@ -57,7 +63,8 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
     """Merge two view tables over the same view by summing measures.
 
     Both tables must be keyed on the same attributes; the result is
-    sorted (a by-product of the re-grouping).
+    sorted (a by-product of the coded-key re-grouping), so a group of
+    ``base`` keeps its key and only its measures can change.
     """
     if base.view != delta.view or base.attrs != delta.attrs:
         raise ValueError(
@@ -75,7 +82,7 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
     )
     # groups from both sides combine by summation for both sum- and
     # count-aggregated tables (counts of a union add up)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
+    unique_cols, inverse, n_groups = group_rows(key_cols)
     merged = _aggregate(
         inverse, n_groups, np.concatenate([base.values, delta.values]), "sum"
     )

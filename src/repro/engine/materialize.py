@@ -16,27 +16,15 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.view import View
+from repro.engine.coding import group_rows
 from repro.engine.table import FactTable, ViewTable
 
 _AGGREGATES = ("sum", "count", "min", "max")
 
 
-def _group_keys(key_cols: Tuple[np.ndarray, ...]):
-    """Group rows on the key columns.
-
-    Returns ``(unique_cols, inverse, n_groups)``; for the empty key the
-    single grand-total group with ``inverse=None``.
-    """
-    if not key_cols:
-        return (), None, 1
-    stacked = np.stack(key_cols, axis=1)
-    unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    unique_cols = tuple(unique[:, i] for i in range(unique.shape[1]))
-    return unique_cols, inverse, unique.shape[0]
-
-
 def _aggregate(inverse, n_groups: int, values: np.ndarray, agg: str) -> np.ndarray:
-    """Per-group aggregate of ``values`` for a grouping from ``_group_keys``."""
+    """Per-group aggregate of ``values`` for a grouping from
+    :func:`repro.engine.coding.group_rows`."""
     if agg not in _AGGREGATES:
         raise ValueError(f"agg must be one of {_AGGREGATES}, got {agg!r}")
     if inverse is None:  # grand total
@@ -68,7 +56,7 @@ def _group_aggregate(
     agg: str,
 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """Group rows on the key columns and aggregate one value column."""
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
+    unique_cols, inverse, n_groups = group_rows(key_cols)
     return unique_cols, _aggregate(inverse, n_groups, values, agg)
 
 
@@ -86,7 +74,7 @@ def materialize_view(
     """
     attrs = fact.schema.sort_attrs(view.attrs)
     key_cols = tuple(fact.column(a) for a in attrs)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
+    unique_cols, inverse, n_groups = group_rows(key_cols)
     values = _aggregate(inverse, n_groups, fact.measures, agg)
     extra_values = {
         name: _aggregate(inverse, n_groups, column, agg)
@@ -126,7 +114,7 @@ def rollup_view(
         a for a in parent.attrs if a in view.attrs
     )
     key_cols = tuple(parent.key_columns[a] for a in order)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
+    unique_cols, inverse, n_groups = group_rows(key_cols)
     values = _aggregate(inverse, n_groups, parent.values, agg)
     extra_values = {
         name: _aggregate(inverse, n_groups, column, agg)

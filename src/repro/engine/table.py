@@ -13,13 +13,13 @@ rows processed, not to win benchmarks.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.view import View
 from repro.cube.schema import CubeSchema
+from repro.engine.coding import key_codes
 
 
 class FactTable:
@@ -97,18 +97,18 @@ class FactTable:
         exactly the size of the view grouping by them.
 
         Each row's combination is coded as one mixed-radix integer over
-        the attributes' domains, so a 1-D ``np.unique`` counts them; only
-        when the domains' product would overflow ``int64`` does the count
-        fall back to the (much slower) row-wise ``np.unique(axis=0)``.
+        the attributes' domains (:func:`repro.engine.coding.key_codes`),
+        so a 1-D ``np.unique`` counts them; only when the domains'
+        product would overflow ``int64`` does the count fall back to the
+        (much slower) row-wise ``np.unique(axis=0)``.
         """
         if not attrs:
             return 1
         columns = [self.columns[a] for a in attrs]
-        dims = tuple(self.schema.cardinality(a) for a in attrs)
-        if math.prod(dims) > np.iinfo(np.int64).max:
+        codes = key_codes(columns, [self.schema.cardinality(a) for a in attrs])
+        if codes is None:
             stacked = np.stack(columns, axis=1)
             return int(np.unique(stacked, axis=0).shape[0])
-        codes = np.ravel_multi_index(tuple(columns), dims)
         return int(np.unique(codes).size)
 
     def __repr__(self) -> str:

@@ -118,9 +118,11 @@ def exact_sizes_from_rows(
     columns of a fact table, e.g. from
     :class:`repro.engine.table.FactTable`).  Returns an estimator suitable
     for :meth:`CubeLattice.from_estimator` that counts distinct attribute
-    combinations with numpy.
+    combinations with :func:`repro.engine.coding.group_rows`.
     """
     import numpy as np
+
+    from repro.engine.coding import group_rows
 
     columns: Mapping = rows
 
@@ -128,7 +130,7 @@ def exact_sizes_from_rows(
         if not view.attrs:
             return 1.0
         attrs = schema.sort_attrs(view.attrs)
-        stacked = np.stack([np.asarray(columns[a]) for a in attrs], axis=1)
-        return float(np.unique(stacked, axis=0).shape[0])
+        _, _, n_groups = group_rows([np.asarray(columns[a]) for a in attrs])
+        return float(n_groups)
 
     return estimator

@@ -26,6 +26,7 @@ from repro.core.view import View
 from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
+from repro.engine.coding import group_rows
 from repro.engine.executor import Executor
 from repro.estimation.sizes import exact_sizes_from_rows
 from repro.experiments.reporting import ascii_table
@@ -127,8 +128,8 @@ def _selection_value_draws(fact, query: SliceQuery, prefix, max_draws, rng):
     if not prefix:
         yield dict(residual_values)
         return
-    stacked = np.stack([fact.column(a) for a in prefix], axis=1)
-    distinct = np.unique(stacked, axis=0)
+    unique_cols, _, _ = group_rows([fact.column(a) for a in prefix])
+    distinct = np.stack(unique_cols, axis=1)
     if len(distinct) > max_draws:
         picks = rng.choice(len(distinct), size=max_draws, replace=False)
         distinct = distinct[picks]

@@ -35,6 +35,7 @@ from repro.core.index import Index
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.cube.query_log import LogEntry
+from repro.engine.coding import group_rows, key_codes
 from repro.serve.telemetry import RAW_LABEL
 
 #: Default queries per batch for the chunked replay/serving drivers.
@@ -145,9 +146,10 @@ def _grouped_sums(
     ``np.bincount`` adds weights sequentially (index order), which is
     the same left-to-right order the per-row ``groups[key] += value``
     loop uses — so the floats match bit-for-bit regardless of how the
-    group *labels* are derived.  Labels come from an arithmetic encoding
-    of the key tuple (one mixed-radix integer per row; no sort, unlike
-    ``np.unique(axis=0)``), decoded back for the populated codes only.
+    group *labels* are derived.  Labels are the key tuples' mixed-radix
+    codes (:func:`repro.engine.coding.key_codes`; no sort), decoded back
+    for the populated codes only; a key space too large to ``bincount``
+    over groups with :func:`repro.engine.coding.group_rows` instead.
     """
     if not len(values):
         return {}
@@ -159,17 +161,11 @@ def _grouped_sums(
     for dim in dims:
         space *= dim
     if space > MAX_CODED_KEY_SPACE:
-        stacked = np.stack(key_columns, axis=1)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=values, minlength=len(unique))
-        return {
-            tuple(row): float(total)
-            for row, total in zip(unique.tolist(), sums.tolist())
-        }
-    if len(key_columns) == 1:
-        codes = key_columns[0]
-    else:
-        codes = np.ravel_multi_index(tuple(key_columns), dims)
+        unique_cols, inverse, n_groups = group_rows(key_columns)
+        sums = np.bincount(inverse, weights=values, minlength=n_groups)
+        keys = zip(*(column.tolist() for column in unique_cols))
+        return dict(zip(keys, sums.tolist()))
+    codes = key_codes(key_columns, dims)
     sums = np.bincount(codes, weights=values, minlength=space)
     populated = np.nonzero(np.bincount(codes, minlength=space))[0]
     keys = np.stack(np.unravel_index(populated, dims), axis=1)

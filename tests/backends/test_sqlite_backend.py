@@ -312,7 +312,8 @@ class TestSyncInvalidation:
         # before sync the mirror still answers from pre-delta tables
         assert bundle.backend.execute(query, {}).groups == stale
         assert bundle.backend.sync(bundle.catalog) is True
-        assert bundle.backend.reloads == 2
+        assert bundle.backend.reloads == 1
+        assert bundle.backend.delta_syncs == 1
 
         executor = Executor(bundle.catalog, bundle.model)
         for entry in all_pattern_entries(schema, per_pattern=1):

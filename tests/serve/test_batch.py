@@ -239,3 +239,20 @@ class TestReplayParity:
         server = QueryServer(serve_fact4, ["pscd"], cost_model=serve_model4)
         with pytest.raises(ValueError, match="batch_size"):
             server.replay([], batch_size=0)
+
+
+class TestGroupedSumsWideKeys:
+    def test_key_space_beyond_bincount_matches_serial_loop(self):
+        from repro.serve.batch import MAX_CODED_KEY_SPACE, _grouped_sums
+
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(0, 2000, 400), rng.integers(0, 2000, 400)]
+        assert 2000 * 2000 > MAX_CODED_KEY_SPACE
+        values = rng.random(400)
+        expected = {}
+        for a, b, value in zip(*columns, values):
+            key = (int(a), int(b))
+            expected[key] = expected.get(key, 0.0) + value
+        got = _grouped_sums(columns, values)
+        assert got == expected
+        assert list(got) == sorted(expected)
